@@ -32,18 +32,9 @@ fn bench_cascade_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/cascade");
     group.sample_size(10);
     for (name, config) in [
-        (
-            "skip+presat",
-            CascadeConfig { skip_unaffected: true, presaturate: true, ..CascadeConfig::default() },
-        ),
-        (
-            "noskip",
-            CascadeConfig { skip_unaffected: false, presaturate: true, ..CascadeConfig::default() },
-        ),
-        (
-            "nopresat",
-            CascadeConfig { skip_unaffected: true, presaturate: false, ..CascadeConfig::default() },
-        ),
+        ("skip+presat", CascadeConfig { skip_unaffected: true, presaturate: true }),
+        ("noskip", CascadeConfig { skip_unaffected: false, presaturate: true }),
+        ("nopresat", CascadeConfig { skip_unaffected: true, presaturate: false }),
     ] {
         group.bench_function(name, |b| {
             b.iter_batched_ref(

@@ -12,10 +12,6 @@
 //!
 //! * `plan`     — per workload, the compiled-vs-interpreted `speedup`.
 //! * `store`    — batched-fsync vs per-update-fsync commit throughput.
-//! * `parallel` — per workload, the best multi-thread speedup over the
-//!   sequential engine. (Bounded by host cores: a baseline recorded on a
-//!   many-core box checked on a single-core runner would always "regress",
-//!   which is why CI runs this as a separate, non-required job.)
 //! * `service`  — coalesced group-commit vs per-request ingest throughput
 //!   (the `strata-service` headline ratio).
 //! * `shard`    — sharded vs single-worker ingest throughput (the e16
@@ -31,7 +27,7 @@
 //! Usage:
 //!
 //! ```text
-//! bench_check <plan|store|parallel|service|service-obs|shard|read> <baseline.json> <fresh.json>
+//! bench_check <plan|store|service|service-obs|shard|read|recovery> <baseline.json> <fresh.json>
 //! ```
 
 use std::process::ExitCode;
@@ -77,28 +73,6 @@ fn store_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
     };
     let ratio = rate("batched_fsync")? / rate("per_update_fsync")?;
     Ok(vec![Metric { label: "batched/per-update fsync throughput".into(), value: ratio }])
-}
-
-/// `parallel`: the best multi-thread speedup per workload.
-fn parallel_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
-    let results = doc.get("results").ok_or("missing `results`")?.items();
-    results
-        .iter()
-        .map(|r| {
-            let workload = r.get("workload").and_then(Json::as_str).ok_or("missing workload")?;
-            let best = r
-                .get("threads")
-                .ok_or("missing threads")?
-                .items()
-                .iter()
-                .filter_map(|t| t.get("speedup").and_then(Json::as_f64))
-                .fold(f64::NEG_INFINITY, f64::max);
-            if best == f64::NEG_INFINITY {
-                return Err(format!("no thread entries for {workload}"));
-            }
-            Ok(Metric { label: format!("best speedup[{workload}]"), value: best })
-        })
-        .collect()
 }
 
 /// `read`: the MVCC read-path headlines — snapshot-over-mutex reads per
@@ -198,15 +172,14 @@ fn metrics(kind: &str, doc: &Json) -> Result<Vec<Metric>, String> {
     match kind {
         "plan" => plan_metrics(doc),
         "store" => store_metrics(doc),
-        "parallel" => parallel_metrics(doc),
         "service" => service_metrics(doc),
         "service-obs" => service_obs_metrics(doc),
         "shard" => shard_metrics(doc),
         "read" => read_metrics(doc),
         "recovery" => recovery_metrics(doc),
         other => Err(format!(
-            "unknown kind `{other}` (plan | store | parallel | service | service-obs | shard | \
-             read | recovery)"
+            "unknown kind `{other}` (plan | store | service | service-obs | shard | read | \
+             recovery)"
         )),
     }
 }
@@ -238,7 +211,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let [kind, baseline, fresh] = args.as_slice() else {
         eprintln!(
-            "usage: bench_check <plan|store|parallel|service|service-obs|shard|read> \
+            "usage: bench_check <plan|store|service|service-obs|shard|read|recovery> \
              <baseline.json> <fresh.json>"
         );
         return ExitCode::from(2);
@@ -348,17 +321,6 @@ mod tests {
         assert!((m[1].value - 0.5).abs() < 1e-9, "snapshot flatness 4 -> 64");
         assert!(read_metrics(&doc(r#"{"read": []}"#)).is_err());
         assert!(read_metrics(&doc(r#"{}"#)).is_err());
-    }
-
-    #[test]
-    fn parallel_metric_is_the_best_thread_speedup() {
-        let base = doc(r#"{"results": [{"workload": "tc", "seq_ms": 10.0, "threads": [
-                {"threads": 1, "ms": 10.5, "speedup": 0.95},
-                {"threads": 4, "ms": 4.0, "speedup": 2.5}
-            ]}]}"#);
-        let m = parallel_metrics(&base).unwrap();
-        assert_eq!(m.len(), 1);
-        assert!((m[0].value - 2.5).abs() < 1e-9);
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() {
 
     let mut literal = CascadeEngine::with_config(
         program.clone(),
-        CascadeConfig { skip_unaffected: true, presaturate: false, ..CascadeConfig::default() },
+        CascadeConfig { skip_unaffected: true, presaturate: false },
     )
     .unwrap();
     let s_lit = literal.apply(&update).unwrap();

@@ -75,7 +75,9 @@ pub enum ReplayMode {
     /// Replay every committed transaction through the engine's own
     /// decision path (`apply`/`apply_all`), exactly as it originally ran.
     /// Reproduces the live engine's support state byte for byte — the
-    /// default, and the mode every exactness test pins.
+    /// [`WalSpec`] default, and the mode every exactness test pins: it is
+    /// the oracle side of `tests/durable_differential.rs`, which checks
+    /// [`ReplayMode::Bulk`] against it.
     #[default]
     Engine,
     /// Fold the committed WAL suffix directly into the recovered
@@ -84,7 +86,7 @@ pub enum ReplayMode {
     /// the production fast path (see `BENCH_recovery.json`). Lands the
     /// **canonical** belief state (what a fresh engine would believe):
     /// the model is always identical to engine replay; support sets are
-    /// the canonical form, which for the cascade strategies can be a
+    /// the canonical form, which for the cascade strategy can be a
     /// different (equally sound) approximation than the live engine's
     /// incremental one.
     Bulk,
@@ -1261,10 +1263,6 @@ impl MaintenanceEngine for DurableEngine {
             snapshot_seq: self.store.snapshot_seq(),
             replay_mode: self.replay_mode,
         })
-    }
-
-    fn set_parallelism(&mut self, parallelism: strata_datalog::Parallelism) -> bool {
-        self.inner.set_parallelism(parallelism)
     }
 }
 

@@ -227,16 +227,6 @@ pub trait MaintenanceEngine {
         None
     }
 
-    /// Parallelism hook: set the worker count the engine's saturation may
-    /// use, returning `true` if the engine honors the knob. Results never
-    /// depend on it — parallel saturation is bit-identical to sequential —
-    /// so it is safe to change at any point in an engine's life. The
-    /// default (engines with purely sequential evaluation) ignores it.
-    fn set_parallelism(&mut self, parallelism: strata_datalog::Parallelism) -> bool {
-        let _ = parallelism;
-        false
-    }
-
     /// Applies one update, returning what it did.
     fn apply(&mut self, update: &Update) -> Result<UpdateStats, MaintenanceError>;
 
@@ -373,10 +363,6 @@ impl<E: MaintenanceEngine + ?Sized> MaintenanceEngine for Box<E> {
 
     fn durability(&self) -> Option<DurabilityStats> {
         self.as_ref().durability()
-    }
-
-    fn set_parallelism(&mut self, parallelism: strata_datalog::Parallelism) -> bool {
-        self.as_mut().set_parallelism(parallelism)
     }
 
     fn apply(&mut self, update: &Update) -> Result<UpdateStats, MaintenanceError> {

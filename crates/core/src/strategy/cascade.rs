@@ -39,13 +39,12 @@
 //!    phases.
 
 use rustc_hash::{FxHashMap, FxHashSet};
-use strata_datalog::eval::matcher::for_each_match;
-use strata_datalog::eval::par;
-use strata_datalog::eval::plan::MatchScratch;
-use strata_datalog::eval::seminaive::DeltaStats;
+use strata_datalog::eval::incremental;
+use strata_datalog::eval::plan::{CompiledPlan, MatchScratch};
+use strata_datalog::eval::seminaive::{self, DeltaStats};
 use strata_datalog::eval::NewFactSink;
 use strata_datalog::model::StratKind;
-use strata_datalog::{Database, Fact, Parallelism, Program, RelSet, RuleId, Symbol};
+use strata_datalog::{Database, Fact, Program, RelSet, RuleId, Symbol};
 
 use crate::analysis::Analysis;
 use crate::engine::{normalize, MaintenanceEngine, MaintenanceError, Update};
@@ -62,19 +61,11 @@ pub struct CascadeConfig {
     /// Fire lower-strata-only rules before each removal phase (see the
     /// module docs reconstruction note).
     pub presaturate: bool,
-    /// Worker threads for per-stratum saturation. Sequential by default;
-    /// results are bit-identical at any setting (see
-    /// [`strata_datalog::eval::par`]).
-    pub parallelism: Parallelism,
 }
 
 impl Default for CascadeConfig {
     fn default() -> CascadeConfig {
-        CascadeConfig {
-            skip_unaffected: true,
-            presaturate: true,
-            parallelism: Parallelism::sequential(),
-        }
+        CascadeConfig { skip_unaffected: true, presaturate: true }
     }
 }
 
@@ -105,10 +96,6 @@ impl NewFactSink for CascadeSink<'_> {
 
 /// The paper's §5.1 engine.
 pub struct CascadeEngine {
-    /// `"cascade"`, or `"cascade-parallel"` when built via
-    /// [`CascadeEngine::parallel`] — the registry requires engines to
-    /// report their registered name.
-    name: &'static str,
     program: Program,
     analysis: Analysis,
     model: Database,
@@ -123,18 +110,6 @@ impl CascadeEngine {
         Self::with_config(program, CascadeConfig::default())
     }
 
-    /// Builds the `cascade-parallel` variant: the same engine with
-    /// per-stratum saturation sharded across `parallelism` workers.
-    pub fn parallel(
-        program: Program,
-        parallelism: Parallelism,
-    ) -> Result<CascadeEngine, MaintenanceError> {
-        let mut engine =
-            Self::with_config(program, CascadeConfig { parallelism, ..CascadeConfig::default() })?;
-        engine.name = "cascade-parallel";
-        Ok(engine)
-    }
-
     /// Builds the engine with an explicit configuration.
     pub fn with_config(
         program: Program,
@@ -144,7 +119,6 @@ impl CascadeEngine {
             .map_err(|e| MaintenanceError::Datalog(e.into()))?;
         let rule_sigs = build_sigs(&program, &analysis);
         let mut engine = CascadeEngine {
-            name: "cascade",
             program,
             analysis,
             model: Database::new(),
@@ -163,7 +137,6 @@ impl CascadeEngine {
 
     fn construct_initial(&mut self) {
         let strata = self.analysis.strata();
-        let par = self.config.parallelism;
         let mut stats = DeltaStats::default();
         for s in 0..strata.num_strata() {
             for f in strata.facts_of(s) {
@@ -171,7 +144,7 @@ impl CascadeEngine {
                 self.supports.entry(f.clone()).or_default().asserted = true;
             }
             let mut sink = CascadeSink { supports: &mut self.supports };
-            par::saturate(&mut self.model, strata.rules_of(s), &mut sink, &mut stats, par);
+            seminaive::saturate(&mut self.model, strata.rules_of(s), &mut sink, &mut stats);
         }
     }
 
@@ -307,7 +280,7 @@ impl CascadeEngine {
             // (positive positions).
             let mut sink = CascadeSink { supports: &mut self.supports };
             let mut dstats = DeltaStats::default();
-            let new = par::stratum_saturate(
+            let new = incremental::stratum_saturate(
                 &mut self.model,
                 self.analysis.strata().rules_of(s),
                 &added_list,
@@ -315,7 +288,6 @@ impl CascadeEngine {
                 &candidates,
                 &mut sink,
                 &mut dstats,
-                self.config.parallelism,
             );
             *derivs += dstats.firings;
             for f in new {
@@ -361,12 +333,11 @@ impl CascadeEngine {
         }
         let mut sink = CascadeSink { supports: &mut self.supports };
         let mut dstats = DeltaStats::default();
-        par::saturate(
+        seminaive::saturate(
             &mut self.model,
             self.analysis.strata().rules_of(s),
             &mut sink,
             &mut dstats,
-            self.config.parallelism,
         );
         *derivs += dstats.firings;
         // Net diff against the pre-sweep residents.
@@ -419,13 +390,16 @@ impl CascadeEngine {
                 let Some(drel) = drel else { continue };
                 *derivs += 1;
                 let mut out: Vec<(Fact, bool)> = Vec::new();
-                par::collect_delta_heads(
-                    cr.delta_plan(li),
+                cr.delta_plan(li).for_each_head(
                     &self.model,
-                    drel,
-                    self.config.parallelism,
+                    Some(drel),
+                    &[],
                     &mut scratch,
-                    &mut out,
+                    |head| {
+                        let existed = self.model.contains(&head);
+                        out.push((head, existed));
+                        true
+                    },
                 );
                 for (f, existed) in out {
                     if existed {
@@ -483,12 +457,7 @@ fn build_sigs(program: &Program, analysis: &Analysis) -> FxHashMap<RuleId, RuleS
 
 impl MaintenanceEngine for CascadeEngine {
     fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn set_parallelism(&mut self, parallelism: Parallelism) -> bool {
-        self.config.parallelism = parallelism;
-        true
+        "cascade"
     }
 
     fn program(&self) -> &Program {
@@ -704,7 +673,9 @@ impl MaintenanceEngine for CascadeEngine {
                 // Fire the new rule once in full over the current model.
                 let rule = self.program.rule(id).expect("just inserted").clone();
                 let mut out: Vec<(Fact, bool)> = Vec::new();
-                for_each_match(&self.model, &rule, None, |head, _, _| {
+                let plan = CompiledPlan::compile(&rule, None);
+                let mut scratch = MatchScratch::new();
+                plan.for_each_derivation(&self.model, None, &[], &mut scratch, |head, _, _| {
                     let existed = self.model.contains(&head);
                     out.push((head, existed));
                     true
@@ -804,7 +775,7 @@ mod tests {
     fn literal_pseudocode_migrates_q() {
         let mut e = CascadeEngine::with_config(
             Program::parse("r :- p. q :- r. q :- !p.").unwrap(),
-            CascadeConfig { skip_unaffected: true, presaturate: false, ..CascadeConfig::default() },
+            CascadeConfig { skip_unaffected: true, presaturate: false },
         )
         .unwrap();
         let stats = e.insert_fact(Fact::parse("p").unwrap()).unwrap();
@@ -992,12 +963,12 @@ mod tests {
                    zz(X) :- w(X), !v(X). w(9).";
         let mut with_skip = CascadeEngine::with_config(
             Program::parse(src).unwrap(),
-            CascadeConfig { skip_unaffected: true, presaturate: true, ..CascadeConfig::default() },
+            CascadeConfig { skip_unaffected: true, presaturate: true },
         )
         .unwrap();
         let mut without_skip = CascadeEngine::with_config(
             Program::parse(src).unwrap(),
-            CascadeConfig { skip_unaffected: false, presaturate: true, ..CascadeConfig::default() },
+            CascadeConfig { skip_unaffected: false, presaturate: true },
         )
         .unwrap();
         for e in [&mut with_skip, &mut without_skip] {

@@ -29,7 +29,7 @@ pub struct DeltaStats {
 }
 
 /// Groups facts into per-relation delta stores.
-pub(crate) fn group_deltas(facts: &[Fact]) -> FxHashMap<Symbol, Relation> {
+fn group_deltas(facts: &[Fact]) -> FxHashMap<Symbol, Relation> {
     let mut by_rel: FxHashMap<Symbol, Relation> = FxHashMap::default();
     for f in facts {
         by_rel.entry(f.rel).or_insert_with(|| Relation::new(f.arity())).insert(f.args.clone());
@@ -61,9 +61,8 @@ pub fn saturate<S: NewFactSink>(
 /// (covering rules with no positive hypotheses, whose value cannot change
 /// afterwards within the stratum) and returns the facts added — the first
 /// increase. Rules fire in order with immediate insertion, so each rule
-/// sees its predecessors' new facts. Shared with [`super::par`], whose
-/// first round must match this one exactly.
-pub(crate) fn full_round<S: NewFactSink>(
+/// sees its predecessors' new facts.
+fn full_round<S: NewFactSink>(
     db: &mut Database,
     rules: &[CompiledRule],
     sink: &mut S,
@@ -107,7 +106,7 @@ pub(crate) fn drive<S: NewFactSink>(
 
 /// [`drive`] with caller-owned scratch buffers (saturation reuses the ones
 /// warmed by its first full round).
-pub(crate) fn drive_with<S: NewFactSink>(
+fn drive_with<S: NewFactSink>(
     db: &mut Database,
     rules: &[CompiledRule],
     mut delta: Vec<Fact>,

@@ -46,7 +46,7 @@
 //! jitter. The server's dedup window makes the retry safe: an update
 //! acked by a lost response is *replayed*, never applied twice.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -356,6 +356,11 @@ impl Bound {
     }
 }
 
+/// The longest request line a connection may send, newline included. A
+/// longer line is answered `err code=too-long …` and the connection is
+/// closed, so one client cannot make the server buffer without limit.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// The answer every `use`/`db` verb gets on a single-database server.
 const NO_CLUSTER: &str =
     "err this is a single-database server: `use` and `db` need a cluster front-end";
@@ -432,8 +437,17 @@ fn serve_connection(
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let n = (&mut reader).take(MAX_REQUEST_LINE as u64 + 1).read_line(&mut line)?;
+        if n == 0 {
             break; // EOF: client hung up
+        }
+        if n > MAX_REQUEST_LINE {
+            // Answered behind any pending acks; the rest of the line is
+            // never read, so the connection cannot continue.
+            let refusal =
+                format!("err code=too-long request line exceeds {MAX_REQUEST_LINE} bytes");
+            let _ = job_tx.send(Job::Quit(refusal));
+            break;
         }
         if line.trim().is_empty() {
             continue;
@@ -1053,6 +1067,31 @@ mod tests {
         let service = Arc::new(Service::start(engine, IngestConfig::default()));
         let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
         (service, handle)
+    }
+
+    #[test]
+    fn oversized_request_line_is_refused_and_the_server_keeps_serving() {
+        let (_service, handle) = pods_server();
+        let addr = handle.addr().to_string();
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("err code=too-long "), "{reply}");
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "closed after the refusal: {reply}");
+
+        // A line of exactly the limit is read whole and parsed as usual,
+        // and other connections are unaffected.
+        let mut client = Client::connect(&addr).unwrap();
+        client.send_raw(&"x".repeat(MAX_REQUEST_LINE - 1)).unwrap();
+        let (_, reply) = client.recv_raw().unwrap();
+        assert!(reply.starts_with("err ") && !reply.contains("too-long"), "{reply}");
+        assert_eq!(client.query("rejected(1)").unwrap().unwrap(), QueryReply::Boolean(true));
+        client.quit().unwrap();
+        handle.stop();
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Requests and responses are single lines of UTF-8, newline-terminated;
 //! fact, rule, and query text rides the crate's existing `Display`/parse
 //! round-trip (symbols are quoted on write, so arbitrary names survive
-//! the wire).
+//! the wire). A request line longer than [`crate::net::MAX_REQUEST_LINE`]
+//! (1 MiB, newline included) is answered `err code=too-long <reason>` and
+//! the connection is closed.
 //!
 //! ## Grammar
 //!

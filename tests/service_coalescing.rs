@@ -89,8 +89,13 @@ fn grouped_run(engine: &mut EngineBox, stream: &[Update], group: usize) -> Vec<D
     decisions
 }
 
+/// A fresh store directory, unique per call: tests run concurrently and
+/// reach the same strategy/group pair, so name and pid alone collide.
 fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("strata_svc_coal_{name}_{}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("strata_svc_coal_{name}_{}_{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

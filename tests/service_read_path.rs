@@ -14,16 +14,8 @@ use strata_datalog::{Fact, Program, Query};
 use strata_service::net::{self, Client, QueryReply};
 use strata_service::{IngestConfig, Outcome, Service};
 
-const STRATEGIES: [&str; 8] = [
-    "recompute",
-    "static",
-    "dynamic-single",
-    "dynamic-multi",
-    "cascade",
-    "fact-level",
-    "cascade-parallel",
-    "recompute-parallel",
-];
+const STRATEGIES: [&str; 6] =
+    ["recompute", "static", "dynamic-single", "dynamic-multi", "cascade", "fact-level"];
 
 fn program() -> Program {
     Program::parse(
